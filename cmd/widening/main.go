@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	widening [-workload NAME|FILE] [-loops N] [-seed S] [-cache DIR] [-backend heuristic|exact] [-out DIR [-format json,csv,txt]] <experiment>... | all | list
+//	widening [-workload NAME|FILE] [-loops N] [-seed S] [-cache DIR] [-backend heuristic|exact] [-out DIR [-format json,csv,txt]] [-cpuprofile FILE] <experiment>... | all | list
 //	widening workload list | show | export | import
 //	widening cache stats | gc | clear -dir DIR
 //	widening schedule -config 4w2 -regs 64 -kernel daxpy
@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -58,7 +59,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	if len(args) > 0 && args[0] == "schedule" {
 		return runSchedule(args[1:])
 	}
@@ -93,6 +94,7 @@ func run(args []string) error {
 	backend := fs.String("backend", "heuristic",
 		"scheduling backend: heuristic, or exact (branch-and-bound refinement of small loops; see the README's Optimality gap section)")
 	exactBudget := fs.Int("exact-budget", 0, "exact backend node budget per loop (0 = default)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (empty = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -119,6 +121,18 @@ func run(args []string) error {
 		if formats, err = sweep.ParseFormats(*format); err != nil {
 			return err
 		}
+	}
+
+	if *cpuProfile != "" {
+		stop, perr := startCPUProfile(*cpuProfile)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}()
 	}
 
 	ctx, err := resolveContext(*wl, *loops, *seed)
@@ -228,9 +242,26 @@ func runSchedule(args []string) error {
 	return nil
 }
 
+// startCPUProfile starts profiling the process into path; stop ends the
+// profile and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cpuprofile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  widening [-workload NAME|FILE] [-loops N] [-seed S] [-cache DIR] [-backend heuristic|exact] [-out DIR [-format json,csv,txt]] <experiment>... | all | list
+  widening [-workload NAME|FILE] [-loops N] [-seed S] [-cache DIR] [-backend heuristic|exact] [-out DIR [-format json,csv,txt]] [-cpuprofile FILE] <experiment>... | all | list
   widening workload list
   widening workload show -name divheavy [-loops N] [-seed S]
   widening workload export -name divheavy [-o div.json] [-loops N] [-seed S]

@@ -31,6 +31,20 @@ func TestRunFastExperiment(t *testing.T) {
 	}
 }
 
+func TestRunCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	if err := run([]string{"-loops", "5", "-cpuprofile", path, "table1"}); err != nil {
+		t.Fatalf("profiled run: %v", err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+		t.Fatalf("profile %s not written: %v", path, err)
+	}
+	bad := filepath.Join(t.TempDir(), "missing", "cpu.out")
+	if err := run([]string{"-loops", "5", "-cpuprofile", bad, "table1"}); err == nil {
+		t.Error("an uncreatable profile path must error")
+	}
+}
+
 func TestRunExportsArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	if err := run([]string{"-loops", "5", "-out", dir, "-format", "json,csv,txt", "table1", "fig6"}); err != nil {

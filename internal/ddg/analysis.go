@@ -413,13 +413,21 @@ func (a *Analysis) recPrioLocked(model machine.CycleModel) []int {
 	ma := a.modelLocked(model)
 	if !ma.haveRec {
 		l := a.loop
-		prio := make([]int, len(l.Ops))
+		n := len(l.Ops)
+		prio := make([]int, n)
 		recMII := 1
-		for _, comp := range a.sccsLocked() {
+		succs, comps := a.succsLocked(), a.sccsLocked()
+		var sc recScratch
+		for _, comp := range comps {
 			if len(comp) == 1 && !a.hasSelfEdgeLocked(comp[0]) {
 				continue
 			}
-			sub := l.recMIIOfComponent(comp, model)
+			if sc.local == nil {
+				// The counting scratch is free now that succs and the
+				// SCCs are built, and zeroed as the local index needs.
+				sc.local = a.countsLocked(n)
+			}
+			sub := l.recMIIOfComponent(comp, succs, model, &sc)
 			for _, v := range comp {
 				prio[v] = sub
 			}

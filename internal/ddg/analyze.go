@@ -26,43 +26,61 @@ func (l *Loop) SCCs() [][]int { return l.Analysis().SCCs() }
 // feasible iff no cycle has total latency > II * total distance).
 func (l *Loop) RecMII(model machine.CycleModel) int { return l.Analysis().RecMII(model) }
 
+// recScratch is the Bellman-Ford scratch of recMIIOfComponent, reused by
+// every component of one RecPrio computation; dist and edges grow to the
+// largest component.
+type recScratch struct {
+	local []int // node ID -> local index + 1, 0 outside the component; all 0 between calls
+	dist  []int // longest-path estimates, by local index
+	edges []recEdge
+}
+
+// recEdge is a component edge rewritten to local indices.
+type recEdge struct {
+	from, to, lat, dist int
+}
+
 // recMIIOfComponent binary-searches the smallest II for which the component
-// has no positive cycle under weights lat(from) - II*dist.
-func (l *Loop) recMIIOfComponent(comp []int, model machine.CycleModel) int {
-	inComp := make(map[int]bool, len(comp))
-	for _, v := range comp {
-		inComp[v] = true
+// has no positive cycle under weights lat(from) - II*dist. The component's
+// nodes are indexed densely, so Bellman-Ford runs over slices; succs are
+// the loop's per-node outgoing edges.
+func (l *Loop) recMIIOfComponent(comp []int, succs [][]Edge, model machine.CycleModel, sc *recScratch) int {
+	for i, v := range comp {
+		sc.local[v] = i + 1
 	}
-	type wedge struct {
-		from, to, lat, dist int
-	}
-	var edges []wedge
+	edges := sc.edges[:0]
 	hi := 1
-	for _, e := range l.Edges {
-		if inComp[e.From] && inComp[e.To] {
-			lat := model.Latency(l.Ops[e.From].Kind)
-			edges = append(edges, wedge{e.From, e.To, lat, e.Dist})
-			hi += lat
+	for i, v := range comp {
+		lat := model.Latency(l.Ops[v].Kind)
+		for _, e := range succs[v] {
+			if j := sc.local[e.To]; j != 0 {
+				edges = append(edges, recEdge{i, j - 1, lat, e.Dist})
+				hi += lat
+			}
 		}
 	}
+	for _, v := range comp {
+		sc.local[v] = 0
+	}
+	sc.edges = edges
 	if len(edges) == 0 {
 		return 1
 	}
+	if cap(sc.dist) < len(comp) {
+		sc.dist = make([]int, len(comp))
+	}
+	dist := sc.dist[:len(comp)]
 
 	// feasible reports whether no cycle has positive weight at this II.
-	// Bellman-Ford longest-path from an arbitrary component node; with all
-	// nodes initialized to 0 (super-source), a relaxation succeeding on the
-	// n-th pass betrays a positive cycle.
-	dist := make(map[int]int, len(comp))
+	// Bellman-Ford longest-path with all nodes initialized to 0 (a
+	// super-source): a relaxation succeeding on the n-th pass betrays a
+	// positive cycle. The verdict does not depend on the edge order.
 	feasible := func(ii int) bool {
-		for _, v := range comp {
-			dist[v] = 0
-		}
+		clear(dist)
 		for pass := 0; pass < len(comp); pass++ {
 			changed := false
 			for _, e := range edges {
-				w := e.lat - ii*e.dist
-				if d := dist[e.from] + w; d > dist[e.to] {
+				if d := dist[e.from] + e.lat - ii*e.dist; d > dist[e.to] {
 					dist[e.to] = d
 					changed = true
 				}
@@ -73,8 +91,7 @@ func (l *Loop) recMIIOfComponent(comp []int, model machine.CycleModel) int {
 		}
 		// One more pass: any further relaxation means a positive cycle.
 		for _, e := range edges {
-			w := e.lat - ii*e.dist
-			if dist[e.from]+w > dist[e.to] {
+			if dist[e.from]+e.lat-ii*e.dist > dist[e.to] {
 				return false
 			}
 		}

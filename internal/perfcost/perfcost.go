@@ -46,13 +46,6 @@ import (
 	"repro/internal/workload"
 )
 
-// wsPool holds scheduling workspaces shared by every engine in the
-// process. Pooling at package scope rather than per engine is deliberate:
-// serve's LRU evicts and rebuilds engines under churn, and a rehydrated
-// engine draws already-warm arenas from the pool instead of paying the
-// full cold-start allocation cost again.
-var wsPool = sync.Pool{New: func() any { return sched.NewWorkspace() }}
-
 // Engine evaluates configurations over a fixed workbench. All entry points
 // are safe for concurrent use: the sweep orchestrator hammers one engine
 // from many goroutines, and the singleflight caches guarantee each unique
@@ -489,8 +482,8 @@ func (e *Engine) computeSuite(c machine.Config, regs int, model machine.CycleMod
 		// spill options are copied per task so each worker can attach its
 		// own workspace without racing the other goroutines (or mutating
 		// options the caller still owns).
-		ws := wsPool.Get().(*sched.Workspace)
-		defer wsPool.Put(ws)
+		ws := sched.AcquireWorkspace()
+		defer sched.ReleaseWorkspace(ws)
 		so := spill.Options{}
 		if e.spill != nil {
 			so = *e.spill

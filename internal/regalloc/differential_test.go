@@ -328,12 +328,18 @@ func TestEndFitNearMaxLiveOnWorkbench(t *testing.T) {
 // FuzzTorusMatchesOverlaps lets the fuzzer search for arc sequences on
 // which the bitset occupancy map diverges from the arithmetic overlaps
 // predicate — conflict verdicts and end-fit gap scores both (mirroring
-// mrt's FuzzBitsetMatchesBoolSlice).
+// mrt's FuzzBitsetMatchesBoolSlice). Each step also walks the arc's
+// candidate starts start + k*ii mod circ, k < regs, scoring the free ones
+// incrementally as Search.place does, and checks every score.
 func FuzzTorusMatchesOverlaps(f *testing.F) {
 	f.Add(uint8(4), uint8(3), []byte{0, 4, 4, 4, 2, 6})
 	f.Add(uint8(7), uint8(1), []byte{0, 7, 1, 1})
 	f.Add(uint8(64), uint8(2), []byte{63, 2, 0, 64, 120, 9})
 	f.Add(uint8(13), uint8(5), []byte{60, 13, 7, 1, 0, 65})
+	// ii 5, 4 registers: the walks from 17, 16 and 15 wrap past circ 20,
+	// finding no arc across the wrap, an arc ending at the last cycle,
+	// and one at cycle 0.
+	f.Add(uint8(4), uint8(3), []byte{8, 2, 17, 0, 18, 1, 16, 0, 0, 0, 15, 0})
 	f.Fuzz(func(t *testing.T, ii8, regs8 uint8, data []byte) {
 		ii := int(ii8)%37 + 1
 		regs := int(regs8)%9 + 1
@@ -362,6 +368,25 @@ func FuzzTorusMatchesOverlaps(f *testing.F) {
 				if got, want := occ.gapBefore(start), refGapBefore(cand, placed, circ); got != want {
 					t.Fatalf("step %d: gapBefore(%d) = %d, reference %d (circ %d, placed %v)",
 						i, start, got, want, circ, placed)
+				}
+			}
+			prev, prevGap := -1, 0
+			for k, c := 0, start; k < regs; k++ {
+				if !occ.busy(c, length) {
+					gap := 0
+					if prev < 0 {
+						gap = occ.gapBefore(c)
+					} else {
+						gap = occ.gapAfter(prev, prevGap, c)
+					}
+					if want := refGapBefore(arc{start: c, len: length}, placed, circ); gap != want {
+						t.Fatalf("step %d: candidate %d (k=%d) scores %d, reference %d (circ %d, placed %v)",
+							i, c, k, gap, want, circ, placed)
+					}
+					prev, prevGap = c, gap
+				}
+				if c += ii; c >= circ {
+					c -= circ
 				}
 			}
 			if !refConflict {

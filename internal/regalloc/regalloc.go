@@ -19,8 +19,9 @@
 // bitset (mirroring the scheduler's bitset reservation table): a conflict
 // test over a candidate arc is a handful of word-mask ANDs instead of a
 // scan over every placed arc, and end-fit's snugness score is a
-// nearest-set-bit walk backwards from the candidate start. A Search value
-// carries the per-set analyses (placement orders, total/max lifetime
+// nearest-set-bit walk backwards from the first free candidate start,
+// extended incrementally across the value's later candidates. A Search
+// value carries the per-set analyses (placement orders, total/max lifetime
 // length, MaxLive) and the attempt scratch across the upward
 // register-count scan of Allocate/MinRegs and across the spill pass's
 // TryAllocate/MinRegs/II-growth sequence, so repeated probes of the same
@@ -278,6 +279,7 @@ func (s *Search) place(regs int, strat Strategy, longestFirst bool) bool {
 		v := set.Values[i]
 		bestK, bestScore := -1, circ+1
 		start := mod(v.Start, circ)
+		prev, prevGap := -1, 0 // the last scored candidate and its gap
 		for k := 0; k < regs; k++ {
 			if !occ.busy(start, v.Len) {
 				if strat == FirstFit {
@@ -286,9 +288,19 @@ func (s *Search) place(regs int, strat Strategy, longestFirst bool) bool {
 				}
 				// End-fit: distance from the end of the nearest
 				// preceding occupied arc to our start; smaller =
-				// snugger fit. A zero gap cannot be beaten, and ties
-				// keep the earlier offset, so stop scanning at zero.
-				if score := occ.gapBefore(start); score < bestScore {
+				// snugger fit. The torus is fixed during the scan, so
+				// only the first free candidate walks it; later ones
+				// extend the previous candidate's gap. A zero gap
+				// cannot be beaten, and ties keep the earlier offset,
+				// so stop scanning at zero.
+				score := 0
+				if prev < 0 {
+					score = occ.gapBefore(start)
+				} else {
+					score = occ.gapAfter(prev, prevGap, start)
+				}
+				prev, prevGap = start, score
+				if score < bestScore {
 					bestScore, bestK = score, k
 					if bestScore == 0 {
 						break
@@ -421,6 +433,33 @@ func (t torus) gapBefore(start int) int {
 		return start + t.circ - 1 - b
 	}
 	return t.circ
+}
+
+// gapAfter returns gapBefore(cand) given gap = gapBefore(prev) for a free
+// cycle prev and a free cycle cand != prev, searching only the cycles
+// [prev, cand) between them (wrapping past circ when cand < prev). A set
+// bit there is the nearest occupied cycle before cand; with none, the
+// nearest one is the one before prev, and the gap grows by the distance
+// moved — unless the torus is empty, when the gap stays circ.
+func (t torus) gapAfter(prev, gap, cand int) int {
+	d := cand - prev
+	if d > 0 {
+		if b := prevSet(t.words, prev, cand-1); b >= 0 {
+			return cand - 1 - b
+		}
+	} else {
+		d += t.circ
+		if b := prevSet(t.words, 0, cand-1); b >= 0 {
+			return cand - 1 - b
+		}
+		if b := prevSet(t.words, prev, t.circ-1); b >= 0 {
+			return cand + t.circ - 1 - b
+		}
+	}
+	if gap == t.circ {
+		return gap
+	}
+	return gap + d
 }
 
 // wordMask returns the mask with bits [lo, hi) set; 0 <= lo < hi <= 64.

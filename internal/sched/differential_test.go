@@ -807,6 +807,53 @@ func TestDifferentialScheduler(t *testing.T) {
 	}
 }
 
+// TestDifferentialHRMSOrder pins the ranked, heap-driven ordering against
+// the retained linear-scan reference: HRMSOrder (no workspace) and the
+// workspace path run twice on one Workspace (the second call warm, and
+// the first one reusing slabs grown by earlier, larger loops) must both
+// reproduce refHRMSOrder element by element, for every workbench loop
+// widened to each factor-8 width under all four cycle models (two in
+// -short mode).
+func TestDifferentialHRMSOrder(t *testing.T) {
+	p := loopgen.Defaults()
+	p.Loops = 150
+	models := machine.CycleModels()
+	if testing.Short() {
+		p.Loops = 40
+		models = []machine.CycleModel{machine.FourCycle, machine.OneCycle}
+	}
+	loops, err := loopgen.Workbench(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ws := sched.NewWorkspace()
+	for _, cfg := range machine.ConfigsWithFactor(8) {
+		for _, model := range models {
+			for _, src := range loops {
+				l, _ := widen.Transform(src, cfg.Width)
+				want := refHRMSOrder(l, model)
+				check := func(path string, got []int) {
+					t.Helper()
+					if len(got) != len(want) {
+						t.Fatalf("%s width %d %s, %s: %d ops ordered, reference %d",
+							src.Name, cfg.Width, model, path, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s width %d %s, %s: position %d holds op %d, reference %d",
+								src.Name, cfg.Width, model, path, i, got[i], want[i])
+						}
+					}
+				}
+				check("HRMSOrder", sched.HRMSOrder(l, model))
+				check("workspace", sched.HRMSOrderInto(l, model, ws))
+				check("warm workspace", sched.HRMSOrderInto(l, model, ws))
+			}
+		}
+	}
+}
+
 // TestDifferentialSchedulerMinII exercises the spill pass's II-floor path
 // (Options.MinII) against the reference at a raised floor.
 func TestDifferentialSchedulerMinII(t *testing.T) {

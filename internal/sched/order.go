@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/ddg"
@@ -23,9 +25,14 @@ func HRMSOrder(l *ddg.Loop, model machine.CycleModel) []int {
 }
 
 // hrmsOrder is HRMSOrder with an optional scratch workspace: with one,
-// the slack/occupancy and mark arrays (and the returned order, which the
-// caller consumes before the next scheduling call) come from reusable
-// slabs instead of per-call allocations.
+// the key, rank and heap arrays (and the returned order, which the caller
+// consumes before the next scheduling call) come from reusable slabs
+// instead of per-call allocations.
+//
+// Every priority key is fixed for the call, so the ops are ranked once by
+// the priority order; seeding is then a monotone cursor over the ranking
+// and frontier picks pop a lazy-deletion min-heap of ranks, which keeps
+// the ordering O(n log n) instead of a linear scan per pick.
 func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 	n := l.NumOps()
 	if n == 0 {
@@ -39,32 +46,33 @@ func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 	asap := a.ASAP(model)
 	alap := a.ALAP(model)
 
-	var slack, occ []int
+	var ints []int
 	var ordered, frontier []bool
 	var order []int
 	if ws != nil {
-		if cap(ws.hrmsInts) < 2*n {
-			ws.hrmsInts = make([]int, 2*n)
+		if cap(ws.hrmsInts) < 5*n {
+			ws.hrmsInts = make([]int, 5*n)
 		}
-		slack, occ = ws.hrmsInts[0:n:n], ws.hrmsInts[n:2*n]
+		ints = ws.hrmsInts
 		if cap(ws.hrmsBools) < 2*n {
 			ws.hrmsBools = make([]bool, 2*n)
 		}
 		ordered, frontier = ws.hrmsBools[0:n:n], ws.hrmsBools[n:2*n]
-		for v := 0; v < n; v++ {
-			ordered[v], frontier[v] = false, false
-		}
+		clear(ordered)
+		clear(frontier)
 		if cap(ws.order) < n {
 			ws.order = make([]int, 0, n)
 		}
 		order = ws.order[:0]
 	} else {
-		si := make([]int, 2*n)
-		slack, occ = si[0:n:n], si[n:]
+		ints = make([]int, 5*n)
 		sb := make([]bool, 2*n)
 		ordered, frontier = sb[0:n:n], sb[n:] // frontier: unordered nodes adjacent to ordered set
 		order = make([]int, 0, n)
 	}
+	slack, occ := ints[0:n:n], ints[n:2*n:2*n]
+	rank, byRank := ints[2*n:3*n:3*n], ints[3*n:4*n:4*n]
+	heap := rankHeap{rank: rank, items: ints[4*n : 4*n : 5*n]}
 	for v := 0; v < n; v++ {
 		slack[v] = alap[v] - asap[v]
 	}
@@ -83,60 +91,57 @@ func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 		occ[v] = model.Occupancy(l.Ops[v].Kind)
 	}
 
-	better := func(a, b int) bool {
-		// Higher recurrence criticality first, then heavier reservations,
-		// then less slack, then earlier ASAP, then ID for determinism.
+	// Rank by priority: higher recurrence criticality first, then heavier
+	// reservations, then less slack, then earlier ASAP, then ID for
+	// determinism. The ID tie-break makes this a strict total order, so
+	// the ranking is unique.
+	for v := range byRank {
+		byRank[v] = v
+	}
+	slices.SortFunc(byRank, func(a, b int) int {
 		if recPrio[a] != recPrio[b] {
-			return recPrio[a] > recPrio[b]
+			return cmp.Compare(recPrio[b], recPrio[a])
 		}
 		if occ[a] != occ[b] {
-			return occ[a] > occ[b]
+			return cmp.Compare(occ[b], occ[a])
 		}
 		if slack[a] != slack[b] {
-			return slack[a] < slack[b]
+			return cmp.Compare(slack[a], slack[b])
 		}
 		if asap[a] != asap[b] {
-			return asap[a] < asap[b]
+			return cmp.Compare(asap[a], asap[b])
 		}
-		return a < b
+		return cmp.Compare(a, b)
+	})
+	for i, v := range byRank {
+		rank[v] = i
 	}
 
-	pickFrontier := func() int {
-		best := -1
-		for v := 0; v < n; v++ {
-			if frontier[v] && !ordered[v] && (best == -1 || better(v, best)) {
-				best = v
+	seed := 0 // every op ranked before the cursor is already ordered
+	for len(order) < n {
+		// The best frontier node, skipping entries ordered since their push.
+		v := -1
+		for len(heap.items) > 0 {
+			if w := heap.pop(); !ordered[w] {
+				v = w
+				break
 			}
 		}
-		return best
-	}
-
-	pickSeed := func() int {
-		best := -1
-		for v := 0; v < n; v++ {
-			if !ordered[v] && (best == -1 || better(v, best)) {
-				best = v
+		if v == -1 {
+			// Empty frontier: seed the best unordered node.
+			for ordered[byRank[seed]] {
+				seed++
 			}
+			v = byRank[seed]
 		}
-		return best
-	}
-
-	add := func(v int) {
 		ordered[v] = true
 		order = append(order, v)
 		for _, w := range adj[v] {
-			if !ordered[w] {
+			if !ordered[w] && !frontier[w] {
 				frontier[w] = true
+				heap.push(w)
 			}
 		}
-	}
-
-	for len(order) < n {
-		v := pickFrontier()
-		if v == -1 {
-			v = pickSeed()
-		}
-		add(v)
 	}
 	if ws != nil {
 		ws.order = order

@@ -191,11 +191,11 @@ type Options struct {
 // (ranks, frontier marks, the lazy-deletion heap, the modulo reservation
 // table and its per-unit index). A zero Workspace is ready to use; it
 // grows to the largest loop it has scheduled and is NOT safe for
-// concurrent use — callers pool one per worker (see perfcost).
+// concurrent use — callers borrow one per worker (AcquireWorkspace).
 type Workspace struct {
 	ints      []int  // rank + lastForced + heap seed, one 3n slab
 	placed    []bool // placement marks
-	hrmsInts  []int  // HRMS slack + occupancy, one 2n slab
+	hrmsInts  []int  // HRMS slack + occupancy + rank + ranking + frontier heap, one 5n slab
 	hrmsBools []bool // HRMS ordered + frontier marks, one 2n slab
 	order     []int  // HRMS output, reused across calls
 	p         placer // placer header (holds the reservation table across calls)
@@ -204,11 +204,17 @@ type Workspace struct {
 // NewWorkspace returns an empty scheduling workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// wsPool serves ModuloSchedule calls that bring no workspace of their
-// own, so one-shot callers (the spill probes, the exact solver's
-// baseline, tests) get the warm-arena allocation profile for free. Safe
-// to recycle because the returned Schedule never aliases the workspace.
+// wsPool is the process-wide workspace pool: ModuloSchedule calls without
+// a workspace and the perfcost engines (through AcquireWorkspace) share its
+// warm arenas, so even an engine rebuilt after eviction skips the cold-start
+// allocations. Safe because the returned Schedule never aliases its scratch.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
+
+// AcquireWorkspace borrows a workspace from the process-wide pool.
+func AcquireWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
+
+// ReleaseWorkspace returns a borrowed workspace to the pool.
+func ReleaseWorkspace(ws *Workspace) { wsPool.Put(ws) }
 
 // ErrNoSchedule is returned when no II up to the cap admits a schedule.
 var ErrNoSchedule = errors.New("sched: no feasible schedule within II budget")
@@ -234,8 +240,8 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 		o = *opts
 	}
 	if o.Workspace == nil {
-		ws := wsPool.Get().(*Workspace)
-		defer wsPool.Put(ws)
+		ws := AcquireWorkspace()
+		defer ReleaseWorkspace(ws)
 		o.Workspace = ws
 	}
 	buses, fpus := m.Slots()
@@ -310,11 +316,9 @@ type placer struct {
 	placed     []bool
 	lastForced []int
 
-	// heap is an indexed min-heap of operations keyed by rank, with lazy
-	// deletion: popping skips entries whose operation was placed since
-	// being pushed. Ranks are unique, so the pop order matches the
-	// linear smallest-rank scan it replaces exactly.
-	heap []int
+	// heap holds the operations awaiting (re)placement, keyed by rank;
+	// popping skips entries whose operation was placed since being pushed.
+	heap rankHeap
 
 	table *mrt.Table
 
@@ -352,7 +356,7 @@ func newPlacer(l *ddg.Loop, model machine.CycleModel, order []int,
 	p.preds, p.succs, p.asap = preds, succs, asap
 	p.rank = ints[0:n:n]
 	p.lastForced = ints[n : 2*n : 2*n]
-	p.heap = ints[2*n : 2*n : 3*n]
+	p.heap = rankHeap{rank: p.rank, items: ints[2*n : 2*n : 3*n]}
 	p.victims = p.victims[:0]
 
 	// time and res escape into the returned Schedule, so they are always
@@ -378,7 +382,7 @@ func (p *placer) reset(buses, fpus, ii int) {
 		p.lastForced[v] = -inf
 	}
 	// The order is rank-ascending, so it is already a valid min-heap.
-	p.heap = append(p.heap[:0], p.order...)
+	p.heap.items = append(p.heap.items[:0], p.order...)
 	if p.table == nil {
 		p.table = mrt.New(ii, buses, fpus)
 	} else {
@@ -396,41 +400,50 @@ func (p *placer) reset(buses, fpus, ii int) {
 	}
 }
 
-func (p *placer) heapPush(v int) {
-	h := append(p.heap, v)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if p.rank[h[parent]] <= p.rank[h[i]] {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-	p.heap = h
+// rankHeap is a min-heap of operations keyed by their unique rank. Both
+// users delete lazily: a pop may return an operation that has since been
+// placed or ordered, and the caller skips it. Ranks are unique, so the pop
+// order matches a linear smallest-rank scan exactly.
+type rankHeap struct {
+	rank  []int
+	items []int
 }
 
-func (p *placer) heapPop() int {
-	h := p.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	p.heap = h
+func (h *rankHeap) push(v int) {
+	items := append(h.items, v)
+	i := len(items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.rank[items[parent]] <= h.rank[items[i]] {
+			break
+		}
+		items[parent], items[i] = items[i], items[parent]
+		i = parent
+	}
+	h.items = items
+}
+
+func (h *rankHeap) pop() int {
+	items := h.items
+	top := items[0]
+	last := len(items) - 1
+	items[0] = items[last]
+	items = items[:last]
+	h.items = items
 	i := 0
 	for {
 		l := 2*i + 1
-		if l >= len(h) {
+		if l >= len(items) {
 			break
 		}
 		small := l
-		if r := l + 1; r < len(h) && p.rank[h[r]] < p.rank[h[l]] {
+		if r := l + 1; r < len(items) && h.rank[items[r]] < h.rank[items[l]] {
 			small = r
 		}
-		if p.rank[h[i]] <= p.rank[h[small]] {
+		if h.rank[items[i]] <= h.rank[items[small]] {
 			break
 		}
-		h[i], h[small] = h[small], h[i]
+		items[i], items[small] = items[small], items[i]
 		i = small
 	}
 	return top
@@ -439,8 +452,8 @@ func (p *placer) heapPop() int {
 // popUnplaced returns the unplaced operation with the smallest rank,
 // discarding stale heap entries, or -1 when none remains.
 func (p *placer) popUnplaced() int {
-	for len(p.heap) > 0 {
-		if v := p.heapPop(); !p.placed[v] {
+	for len(p.heap.items) > 0 {
+		if v := p.heap.pop(); !p.placed[v] {
 			return v
 		}
 	}
@@ -596,7 +609,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 				table.Release(res[u])
 				p.indexRemove(u)
 				placed[u] = false
-				p.heapPush(u)
+				p.heap.push(u)
 				remaining++
 			}
 		}
@@ -618,13 +631,14 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 		// Resource victims, found through the per-unit reservation index.
 		p.victims = p.victims[:0]
 		if occ <= ii {
+			row := mod(tf, ii)
 			// Free one unit's conflicting rows: pick the unit of the class
 			// with the fewest conflicting reservations.
 			bestUnit, bestCount := -1, inf
 			for u := range p.unitOps[class] {
 				cnt := 0
 				for _, w := range p.unitOps[class][u] {
-					if w != v && reservationTouchesUnit(res[w], u, tf, occ, ii) {
+					if w != v && reservationTouchesUnit(res[w], u, row, occ, ii) {
 						cnt++
 					}
 				}
@@ -633,7 +647,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 				}
 			}
 			for _, w := range p.unitOps[class][bestUnit] {
-				if w != v && reservationTouchesUnit(res[w], bestUnit, tf, occ, ii) {
+				if w != v && reservationTouchesUnit(res[w], bestUnit, row, occ, ii) {
 					p.victims = append(p.victims, w)
 				}
 			}
@@ -684,17 +698,23 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 }
 
 // reservationTouchesUnit reports whether any span of r on the given unit
-// overlaps the occ rows starting at cycle tf: a circular-interval
-// intersection test per span instead of comparing rows pairwise.
-func reservationTouchesUnit(r mrt.Reservation, unit, tf, occ, ii int) bool {
+// overlaps the occ rows starting at row (already reduced into [0, ii)): a
+// circular-interval intersection test per span instead of comparing rows
+// pairwise.
+func reservationTouchesUnit(r mrt.Reservation, unit, row, occ, ii int) bool {
 	for _, sp := range r.Spans {
 		if sp.Unit != unit {
 			continue
 		}
-		// Rows [a, a+sp.Occ) and [b, b+occ) intersect mod ii iff one
-		// start falls within the other interval.
-		a, b := mod(sp.Cycle, ii), mod(tf, ii)
-		if mod(b-a, ii) < sp.Occ || mod(a-b, ii) < occ {
+		// Rows [a, a+sp.Occ) and [row, row+occ) intersect mod ii iff one
+		// start falls within the other interval. d is the distance from a
+		// forward to row; the distance back is ii-d, or 0 when d is 0 (and
+		// then the first test already holds, since sp.Occ >= 1).
+		d := row - mod(sp.Cycle, ii)
+		if d < 0 {
+			d += ii
+		}
+		if d < sp.Occ || ii-d < occ {
 			return true
 		}
 	}
