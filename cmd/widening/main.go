@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	widening [-workload NAME|FILE] [-loops N] [-seed S] [-cache DIR] [-backend heuristic|exact] [-out DIR [-format json,csv,txt]] [-cpuprofile FILE] <experiment>... | all | list
+//	widening [-workload NAME|FILE] [-loops N] [-seed S] [-cache DIR] [-backend heuristic|exact] [-out DIR [-format json,csv,txt]] [-cpuprofile FILE] [-memprofile FILE] <experiment>... | all | list
 //	widening workload list | show | export | import
 //	widening cache stats | gc | clear -dir DIR
 //	widening schedule -config 4w2 -regs 64 -kernel daxpy
@@ -42,6 +42,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"sort"
 	"time"
@@ -95,6 +96,7 @@ func run(args []string) (err error) {
 		"scheduling backend: heuristic, or exact (branch-and-bound refinement of small loops; see the README's Optimality gap section)")
 	exactBudget := fs.Int("exact-budget", 0, "exact backend node budget per loop (0 = default)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (empty = off)")
+	memProfile := fs.String("memprofile", "", "write an allocation profile of the run to this file at exit (empty = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -125,6 +127,17 @@ func run(args []string) (err error) {
 
 	if *cpuProfile != "" {
 		stop, perr := startCPUProfile(*cpuProfile)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}()
+	}
+	if *memProfile != "" {
+		stop, perr := startMemProfile(*memProfile)
 		if perr != nil {
 			return perr
 		}
@@ -259,9 +272,30 @@ func startCPUProfile(path string) (stop func() error, err error) {
 	}, nil
 }
 
+// startMemProfile creates path up front (so a bad path fails before the
+// run); stop writes the allocs profile — every sampled allocation since
+// the process started — into it and closes the file.
+func startMemProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return func() error {
+		runtime.GC() // bring the in-use figures up to date, as go test does
+		werr := pprof.Lookup("allocs").WriteTo(f, 0)
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
+		}
+		if werr != nil {
+			return fmt.Errorf("memprofile: %w", werr)
+		}
+		return nil
+	}, nil
+}
+
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  widening [-workload NAME|FILE] [-loops N] [-seed S] [-cache DIR] [-backend heuristic|exact] [-out DIR [-format json,csv,txt]] [-cpuprofile FILE] <experiment>... | all | list
+  widening [-workload NAME|FILE] [-loops N] [-seed S] [-cache DIR] [-backend heuristic|exact] [-out DIR [-format json,csv,txt]] [-cpuprofile FILE] [-memprofile FILE] <experiment>... | all | list
   widening workload list
   widening workload show -name divheavy [-loops N] [-seed S]
   widening workload export -name divheavy [-o div.json] [-loops N] [-seed S]

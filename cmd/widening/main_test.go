@@ -45,6 +45,20 @@ func TestRunCPUProfile(t *testing.T) {
 	}
 }
 
+func TestRunMemProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "mem.out")
+	if err := run([]string{"-loops", "5", "-memprofile", path, "table1"}); err != nil {
+		t.Fatalf("profiled run: %v", err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Size() == 0 {
+		t.Fatalf("profile %s not written: %v", path, err)
+	}
+	bad := filepath.Join(t.TempDir(), "missing", "mem.out")
+	if err := run([]string{"-loops", "5", "-memprofile", bad, "table1"}); err == nil {
+		t.Error("an uncreatable profile path must error")
+	}
+}
+
 func TestRunExportsArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	if err := run([]string{"-loops", "5", "-out", dir, "-format", "json,csv,txt", "table1", "fig6"}); err != nil {

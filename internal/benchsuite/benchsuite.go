@@ -122,8 +122,10 @@ func Scheduler(b *testing.B) {
 
 // SchedulerCold is Scheduler with a cold analysis cache on every
 // iteration: each call schedules a fresh clone, so the number includes
-// the graph analyses a first-time loop pays (as the spill pass's clones
-// do).
+// the graph analyses and the HRMS order a first-time loop pays. The
+// spill pass pays those once per call, on its private clone of the loop;
+// its reschedules then reuse the order and probe into workspace storage,
+// so they skip both and the result copy this row includes.
 func SchedulerCold(b *testing.B) {
 	loops := workbench(b, 40)
 	m := machine.New(machine.Config{Buses: 2, Width: 1}, 256, machine.FourCycle)

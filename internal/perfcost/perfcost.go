@@ -489,7 +489,9 @@ func (e *Engine) computeSuite(c machine.Config, regs int, model machine.CycleMod
 			so = *e.spill
 		}
 		so.Workspace = ws
-		r, err := spill.Schedule(loops[i], m, &so)
+		// Only the II and the spill counts feed the cell: Fit skips the
+		// exact register search Schedule would run for Result.Regs.
+		r, err := spill.Fit(loops[i], m, &so)
 		if err != nil || !r.OK {
 			// Charge the loop its non-pipelined cost: one flat
 			// schedule span per (unrolled) iteration. Registers at

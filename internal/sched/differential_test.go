@@ -887,3 +887,135 @@ func TestDifferentialSchedulerMinII(t *testing.T) {
 		}
 	}
 }
+
+// TestDifferentialVictims pins the slot-owner eviction search against the
+// retained per-unit scan at every forced placement: the same unit (the
+// fewest distinct holders, ties to the lowest unit) and the same victim
+// set, for every workbench loop widened to each factor-8 width under all
+// four cycle models (two in -short mode), at each loop's MII and three
+// cycles above it.
+func TestDifferentialVictims(t *testing.T) {
+	p := loopgen.Defaults()
+	p.Loops = 150
+	models := machine.CycleModels()
+	if testing.Short() {
+		p.Loops = 40
+		models = []machine.CycleModel{machine.FourCycle, machine.OneCycle}
+	}
+	loops, err := loopgen.Workbench(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	forced, multi := 0, 0
+	restore := sched.CheckVictims(func(multiUnit bool, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		forced++
+		if multiUnit {
+			multi++
+		}
+	})
+	defer restore()
+	ws := sched.NewWorkspace()
+	for _, cfg := range machine.ConfigsWithFactor(8) {
+		for _, model := range models {
+			m := machine.New(cfg, 256, model)
+			for _, src := range loops {
+				l, _ := widen.Transform(src, cfg.Width)
+				s, err := sched.ModuloSchedule(l, m, &sched.Options{Workspace: ws})
+				if err != nil {
+					t.Fatalf("%s %s %s: %v", src.Name, cfg, model, err)
+				}
+				if _, err := sched.ModuloSchedule(l, m,
+					&sched.Options{Workspace: ws, MinII: s.II + 3}); err != nil {
+					t.Fatalf("%s %s %s at II %d: %v", src.Name, cfg, model, s.II+3, err)
+				}
+			}
+		}
+	}
+	if forced == 0 || multi == 0 {
+		t.Fatalf("checked %d forced placements (%d multi-unit): the workbench no longer exercises both eviction branches",
+			forced, multi)
+	}
+	t.Logf("%d forced placements checked, %d multi-unit", forced, multi)
+}
+
+// TestHRMSOrderMemo drives the workspace's order memo through the cases
+// where it must miss: two loops and two cycle models interleaved on one
+// workspace, then loop shape changes between calls — a spill-style append
+// of a store and a reload, and an in-place edge rewrite followed by
+// InvalidateAnalysis. Every call must reproduce refHRMSOrder.
+func TestHRMSOrderMemo(t *testing.T) {
+	p := loopgen.Defaults()
+	p.Loops = 12
+	loops, err := loopgen.Workbench(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, l *ddg.Loop, model machine.CycleModel, got []int) {
+		t.Helper()
+		want := refHRMSOrder(l, model)
+		if len(got) != len(want) {
+			t.Fatalf("%s %s, %s: %d ops ordered, reference %d", l.Name, model, what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s %s, %s: position %d holds op %d, reference %d",
+					l.Name, model, what, i, got[i], want[i])
+			}
+		}
+	}
+
+	ws := sched.NewWorkspace()
+	models := []machine.CycleModel{machine.FourCycle, machine.OneCycle}
+	for i := 0; i+1 < len(loops); i += 2 {
+		a, b := loops[i].Clone(), loops[i+1].Clone()
+		for round := 0; round < 2; round++ {
+			for _, model := range models {
+				for _, l := range []*ddg.Loop{a, b, a, a} {
+					check("interleaved", l, model, sched.HRMSOrderInto(l, model, ws))
+				}
+			}
+		}
+
+		// A spill-style rewrite: a store after a result-producing op and
+		// a reload feeding one of its consumers, appended in place.
+		for _, model := range models {
+			check("before append", a, model, sched.HRMSOrderInto(a, model, ws))
+			def := -1
+			for i, e := range a.Edges {
+				if e.From != e.To && a.Ops[e.From].Kind.HasResult() {
+					def = i
+					break
+				}
+			}
+			if def < 0 {
+				continue
+			}
+			e := a.Edges[def]
+			st, ld := len(a.Ops), len(a.Ops)+1
+			a.Ops = append(a.Ops,
+				ddg.Op{ID: st, Kind: machine.Store, Spill: true},
+				ddg.Op{ID: ld, Kind: machine.Load, Spill: true})
+			a.Edges[def] = ddg.Edge{From: ld, To: e.To, Dist: e.Dist}
+			a.Edges = append(a.Edges, ddg.Edge{From: e.From, To: st}, ddg.Edge{From: st, To: ld})
+			check("after append", a, model, sched.HRMSOrderInto(a, model, ws))
+		}
+
+		// An in-place rewrite that keeps both counts (one edge's distance
+		// raised), made visible by InvalidateAnalysis.
+		for _, model := range models {
+			check("before rewrite", b, model, sched.HRMSOrderInto(b, model, ws))
+			for i, e := range b.Edges {
+				if e.From != e.To {
+					b.Edges[i].Dist = e.Dist + 2
+					break
+				}
+			}
+			b.InvalidateAnalysis()
+			check("after rewrite", b, model, sched.HRMSOrderInto(b, model, ws))
+		}
+	}
+}

@@ -27,7 +27,8 @@ func HRMSOrder(l *ddg.Loop, model machine.CycleModel) []int {
 // hrmsOrder is HRMSOrder with an optional scratch workspace: with one,
 // the key, rank and heap arrays (and the returned order, which the caller
 // consumes before the next scheduling call) come from reusable slabs
-// instead of per-call allocations.
+// instead of per-call allocations, and a call for the loop version and
+// model of the workspace's previous order returns that order unchanged.
 //
 // Every priority key is fixed for the call, so the ops are ranked once by
 // the priority order; seeding is then a monotone cursor over the ranking
@@ -43,6 +44,9 @@ func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 	// the same loop (every spill-pass II retry) reorders without
 	// re-traversing the graph.
 	a := l.Analysis()
+	if ws != nil && ws.orderOf == a && ws.orderModel == model {
+		return ws.order
+	}
 	asap := a.ASAP(model)
 	alap := a.ALAP(model)
 
@@ -144,7 +148,7 @@ func hrmsOrder(l *ddg.Loop, model machine.CycleModel, ws *Workspace) []int {
 		}
 	}
 	if ws != nil {
-		ws.order = order
+		ws.order, ws.orderOf, ws.orderModel = order, a, model
 	}
 	return order
 }

@@ -26,6 +26,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -182,23 +183,39 @@ type Options struct {
 	// Workspace, when set, serves the call's ordering and placement
 	// scratch from a reusable arena instead of fresh allocations — the
 	// cold-start path of an engine evaluating many loops in sequence. The
-	// returned Schedule never aliases the workspace.
+	// Schedule ModuloSchedule returns never aliases the workspace.
 	Workspace *Workspace
 }
 
 // Workspace is a reusable scheduling scratch arena: the ordering and
-// placement state that does not escape into the returned Schedule
-// (ranks, frontier marks, the lazy-deletion heap, the modulo reservation
-// table and its per-unit index). A zero Workspace is ready to use; it
+// placement state (ranks, frontier marks, the lazy-deletion heap, the
+// modulo reservation table and its slot owners) plus the storage of the
+// last probe schedule (see Probe). A zero Workspace is ready to use; it
 // grows to the largest loop it has scheduled and is NOT safe for
 // concurrent use — callers borrow one per worker (AcquireWorkspace).
 type Workspace struct {
-	ints      []int  // rank + lastForced + heap seed, one 3n slab
+	ints      []int  // rank + lastForced + heap seed + owner stamps, one 4n slab
 	placed    []bool // placement marks
 	hrmsInts  []int  // HRMS slack + occupancy + rank + ranking + frontier heap, one 5n slab
 	hrmsBools []bool // HRMS ordered + frontier marks, one 2n slab
 	order     []int  // HRMS output, reused across calls
-	p         placer // placer header (holds the reservation table across calls)
+
+	// orderOf and orderModel name the loop version and cycle model order
+	// was computed for. A loop's Analysis pointer changes whenever its
+	// shape does, so a later call with the same pair (the spill pass
+	// rescheduling one loop version at several IIs) reuses order as is.
+	// Holding the pointer keeps its address from being reused meanwhile.
+	orderOf    *ddg.Analysis
+	orderModel machine.CycleModel
+
+	// Probe schedule storage: times, reservations and their one-span
+	// slots, and the Schedule header Probe returns.
+	time  []int
+	res   []mrt.Reservation
+	spans []mrt.Span
+	sched Schedule
+
+	p placer // placer header (holds the reservation table across calls)
 }
 
 // NewWorkspace returns an empty scheduling workspace.
@@ -207,7 +224,8 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 // wsPool is the process-wide workspace pool: ModuloSchedule calls without
 // a workspace and the perfcost engines (through AcquireWorkspace) share its
 // warm arenas, so even an engine rebuilt after eviction skips the cold-start
-// allocations. Safe because the returned Schedule never aliases its scratch.
+// allocations. Safe because ModuloSchedule clones its probe before the
+// workspace goes back.
 var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
 
 // AcquireWorkspace borrows a workspace from the process-wide pool.
@@ -227,7 +245,30 @@ var ErrNoSchedule = errors.New("sched: no feasible schedule within II budget")
 // the MII bound, ASAP times, adjacency) is served from the loop's
 // analysis cache, so rescheduling the same loop — the spill pass does it
 // at every II retry — pays for the traversals once.
+//
+// It is Probe followed by Clone: the result owns its storage.
 func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, error) {
+	var ws *Workspace
+	if opts != nil {
+		ws = opts.Workspace
+	}
+	if ws == nil {
+		ws = AcquireWorkspace()
+		defer ReleaseWorkspace(ws)
+	}
+	s, err := ws.Probe(l, m, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.Clone(), nil
+}
+
+// Probe is ModuloSchedule writing the schedule into the workspace's own
+// storage instead of fresh arrays: the returned Schedule (its header,
+// Time, Res and spans) aliases ws and is valid only until ws serves
+// another call. Callers that try many schedules and keep few — the spill
+// pass — probe and Clone the one they keep. opts.Workspace is ignored.
+func (ws *Workspace) Probe(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -239,11 +280,6 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	if opts != nil {
 		o = *opts
 	}
-	if o.Workspace == nil {
-		ws := AcquireWorkspace()
-		defer ReleaseWorkspace(ws)
-		o.Workspace = ws
-	}
 	buses, fpus := m.Slots()
 	model := m.Model
 
@@ -251,7 +287,7 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	if o.Order != nil {
 		order = o.Order(l, model)
 	} else {
-		order = hrmsOrder(l, model, o.Workspace)
+		order = hrmsOrder(l, model, ws)
 	}
 	if len(order) != l.NumOps() {
 		return nil, fmt.Errorf("sched: ordering returned %d of %d ops", len(order), l.NumOps())
@@ -269,14 +305,34 @@ func ModuloSchedule(l *ddg.Loop, m machine.Machine, opts *Options) (*Schedule, e
 	// One scratch arena serves the whole II search: the placement state
 	// (times, reservations, heap, reservation table) is reset in place at
 	// each candidate II instead of being reallocated.
-	sc := newPlacer(l, model, order, a.Preds(), a.Succs(), a.ASAP(model), o.Workspace)
+	p := ws.placer(l, model, order, a.Preds(), a.Succs(), a.ASAP(model))
 	for ii := mii; ii <= maxII; ii++ {
-		if s, ok := sc.tryPlace(buses, fpus, ii); ok {
-			s.Buses, s.FPUs = buses, fpus
-			return s, nil
+		if p.tryPlace(buses, fpus, ii) {
+			ws.sched = Schedule{Loop: l, II: ii, Time: p.time, Res: p.res,
+				Model: model, Buses: buses, FPUs: fpus}
+			return &ws.sched, nil
 		}
 	}
 	return nil, fmt.Errorf("%w (MII=%d, cap=%d, loop %q)", ErrNoSchedule, mii, maxII, l.Name)
+}
+
+// Clone returns a copy of s that shares no storage with it (the loop
+// itself is shared; schedules never modify it).
+func (s *Schedule) Clone() *Schedule {
+	c := *s
+	c.Time = append([]int(nil), s.Time...)
+	c.Res = make([]mrt.Reservation, len(s.Res))
+	total := 0
+	for _, r := range s.Res {
+		total += len(r.Spans)
+	}
+	spans := make([]mrt.Span, 0, total)
+	for v, r := range s.Res {
+		from := len(spans)
+		spans = append(spans, r.Spans...)
+		c.Res[v] = mrt.Reservation{Class: r.Class, Spans: spans[from:len(spans):len(spans)]}
+	}
+	return &c
 }
 
 // safeMaxII returns an II at which the greedy placement provably succeeds:
@@ -297,9 +353,9 @@ func safeMaxII(l *ddg.Loop, model machine.CycleModel, mii int) int {
 const inf = int(^uint(0) >> 2)
 
 // placer is the per-search scratch arena of the placement phase. One
-// placer serves every candidate II of a ModuloSchedule call: tryPlace
-// resets the state in place instead of reallocating it, and the final
-// schedule hands the time/reservation arrays off without copying.
+// placer serves every candidate II of a Probe call: tryPlace resets the
+// state in place instead of reallocating it, and the final schedule is
+// read straight out of the time/reservation arrays.
 type placer struct {
 	l            *ddg.Loop
 	model        machine.CycleModel
@@ -322,52 +378,55 @@ type placer struct {
 
 	table *mrt.Table
 
-	// unitOps[class][unit] lists the placed operations holding a span on
-	// that unit — the eviction path's per-unit reservation index, replacing
-	// a scan of all operations per unit.
-	unitOps [2][][]int
+	// owner[class][unit*ii+row] is the placed operation holding that slot
+	// of the reservation table, or -1: the eviction path reads a window's
+	// victims off it instead of scanning the operations of the class.
+	owner [2][]int32
+	// stamp[v] == epoch marks v as already collected by the current
+	// windowOwners pass (distinct owners without clearing a set).
+	stamp   []int
+	epoch   int
 	victims []int
 }
 
-func newPlacer(l *ddg.Loop, model machine.CycleModel, order []int,
-	preds, succs [][]ddg.Edge, asap []int, ws *Workspace) *placer {
+// placer binds the workspace's placer header to a loop and carves its
+// scratch, including the probe schedule's time and reservation arrays,
+// from the workspace slabs.
+func (ws *Workspace) placer(l *ddg.Loop, model machine.CycleModel, order []int,
+	preds, succs [][]ddg.Edge, asap []int) *placer {
 
 	n := l.NumOps()
-	var p *placer
-	var ints []int
-	if ws != nil {
-		// Reuse the workspace's placer header (it carries the reservation
-		// table and per-unit index across calls) and its scratch slab.
-		p = &ws.p
-		if cap(ws.ints) < 3*n {
-			ws.ints = make([]int, 3*n)
-		}
-		ints = ws.ints
-		if cap(ws.placed) < n {
-			ws.placed = make([]bool, n)
-		}
-		p.placed = ws.placed[:n]
-	} else {
-		p = &placer{}
-		ints = make([]int, 3*n)
-		p.placed = make([]bool, n)
+	p := &ws.p
+	if cap(ws.ints) < 4*n {
+		ws.ints = make([]int, 4*n)
+	}
+	ints := ws.ints
+	if cap(ws.placed) < n {
+		ws.placed = make([]bool, n)
+	}
+	if cap(ws.time) < n {
+		ws.time = make([]int, n)
+		ws.res = make([]mrt.Reservation, n)
+		ws.spans = make([]mrt.Span, n)
 	}
 	p.l, p.model, p.order = l, model, order
 	p.preds, p.succs, p.asap = preds, succs, asap
+	p.placed = ws.placed[:n]
 	p.rank = ints[0:n:n]
 	p.lastForced = ints[n : 2*n : 2*n]
 	p.heap = rankHeap{rank: p.rank, items: ints[2*n : 2*n : 3*n]}
+	p.stamp = ints[3*n : 4*n : 4*n]
+	clear(p.stamp)
+	p.epoch = 0
 	p.victims = p.victims[:0]
 
-	// time and res escape into the returned Schedule, so they are always
-	// freshly allocated. Every reservation starts with a one-span slot
-	// carved from one shared slab: the common case (occupancy <= II) fills
-	// it in place, so placement allocates no spans at all.
-	p.time = make([]int, n)
-	p.res = make([]mrt.Reservation, n)
-	spans := make([]mrt.Span, n)
+	// Every reservation starts with a one-span slot carved from one
+	// slab: the common case (occupancy <= II) fills it in place, so
+	// placement allocates no spans at all.
+	p.time = ws.time[:n]
+	p.res = ws.res[:n]
 	for v := range p.res {
-		p.res[v].Spans = spans[v : v : v+1]
+		p.res[v].Spans = ws.spans[v : v : v+1]
 	}
 	for i, v := range order {
 		p.rank[v] = i
@@ -389,15 +448,49 @@ func (p *placer) reset(buses, fpus, ii int) {
 		p.table.Reset(ii, buses, fpus)
 	}
 	counts := [2]int{mrt.Mem: buses, mrt.FPU: fpus}
-	for c := range p.unitOps {
-		if cap(p.unitOps[c]) < counts[c] {
-			p.unitOps[c] = make([][]int, counts[c])
-		}
-		p.unitOps[c] = p.unitOps[c][:counts[c]]
-		for u := range p.unitOps[c] {
-			p.unitOps[c][u] = p.unitOps[c][u][:0]
+	for c := range p.owner {
+		// Grown like append: the spill pass retries ever larger IIs.
+		slots := counts[c] * ii
+		p.owner[c] = slices.Grow(p.owner[c][:0], slots)[:slots]
+		for i := range p.owner[c] {
+			p.owner[c][i] = -1
 		}
 	}
+}
+
+// own records w as the holder of every slot of reservation r (w = -1
+// frees them).
+func (p *placer) own(r *mrt.Reservation, w int32) {
+	ii := p.table.II()
+	owner := p.owner[r.Class]
+	for _, sp := range r.Spans {
+		slots := owner[sp.Unit*ii : (sp.Unit+1)*ii]
+		row := mod(sp.Cycle, ii)
+		for k := 0; k < sp.Occ; k++ {
+			slots[row] = w
+			if row++; row == ii {
+				row = 0
+			}
+		}
+	}
+}
+
+// windowOwners collects into p.victims the distinct operations holding
+// any of the occ (<= ii) slots from row onwards, circularly, of one unit's
+// owner row, stopping once it has limit of them. It returns their count.
+func (p *placer) windowOwners(slots []int32, row, occ, limit int) int {
+	p.epoch++
+	p.victims = p.victims[:0]
+	for k := 0; k < occ && len(p.victims) < limit; k++ {
+		if w := int(slots[row]); w >= 0 && p.stamp[w] != p.epoch {
+			p.stamp[w] = p.epoch
+			p.victims = append(p.victims, w)
+		}
+		if row++; row == len(slots) {
+			row = 0
+		}
+	}
+	return len(p.victims)
 }
 
 // rankHeap is a min-heap of operations keyed by their unique rank. Both
@@ -460,31 +553,9 @@ func (p *placer) popUnplaced() int {
 	return -1
 }
 
-// indexAdd records v's reservation spans in the per-unit index.
-func (p *placer) indexAdd(v int) {
-	r := &p.res[v]
-	for _, sp := range r.Spans {
-		p.unitOps[r.Class][sp.Unit] = append(p.unitOps[r.Class][sp.Unit], v)
-	}
-}
-
-// indexRemove drops v's reservation spans from the per-unit index.
-func (p *placer) indexRemove(v int) {
-	r := &p.res[v]
-	for _, sp := range r.Spans {
-		list := p.unitOps[r.Class][sp.Unit]
-		for i, w := range list {
-			if w == v {
-				list[i] = list[len(list)-1]
-				p.unitOps[r.Class][sp.Unit] = list[:len(list)-1]
-				break
-			}
-		}
-	}
-}
-
-// tryPlace attempts a schedule at a fixed II following the placer's order.
-func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
+// tryPlace attempts a schedule at a fixed II following the placer's order,
+// leaving it in p.time and p.res on success.
+func (p *placer) tryPlace(buses, fpus, ii int) bool {
 	l, model := p.l, p.model
 	n := l.NumOps()
 	p.reset(buses, fpus, ii)
@@ -496,12 +567,12 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 	frontier := 0 // latest placed start time: seeds new components nearby
 	for remaining > 0 {
 		if budget--; budget < 0 {
-			return nil, false
+			return false
 		}
 		// Pick the unplaced op with the best (smallest) rank.
 		v := p.popUnplaced()
 		if v < 0 {
-			return nil, false // unreachable: remaining > 0 implies an entry
+			return false // unreachable: remaining > 0 implies an entry
 		}
 		op := l.Ops[v]
 		occ := model.Occupancy(op.Kind)
@@ -572,7 +643,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 		for t := from; (step > 0 && t <= to) || (step < 0 && t >= to); t += step {
 			if table.PlaceInto(&res[v], class, t, occ) {
 				time[v], placed[v] = t, true
-				p.indexAdd(v)
+				p.own(&res[v], int32(v))
 				done = true
 				break
 			}
@@ -607,7 +678,7 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 		evict := func(u int) {
 			if placed[u] {
 				table.Release(res[u])
-				p.indexRemove(u)
+				p.own(&res[u], -1)
 				placed[u] = false
 				p.heap.push(u)
 				remaining++
@@ -628,48 +699,45 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 			}
 		}
 
-		// Resource victims, found through the per-unit reservation index.
-		p.victims = p.victims[:0]
+		// Resource victims, read off the slot owners. v itself is unplaced,
+		// so it owns no slot. Eviction order does not matter: ranks are
+		// unique, so the heap pops the same sequence whatever the pushes.
+		bestUnit := -1
 		if occ <= ii {
-			row := mod(tf, ii)
 			// Free one unit's conflicting rows: pick the unit of the class
-			// with the fewest conflicting reservations.
-			bestUnit, bestCount := -1, inf
-			for u := range p.unitOps[class] {
-				cnt := 0
-				for _, w := range p.unitOps[class][u] {
-					if w != v && reservationTouchesUnit(res[w], u, row, occ, ii) {
-						cnt++
-					}
-				}
-				if cnt < bestCount {
+			// with the fewest distinct holders in the window, the lowest
+			// such unit on a tie. A count reaching the best so far cannot
+			// win, so it stops there; a free window ends the search.
+			row := mod(tf, ii)
+			owner := p.owner[class]
+			bestCount := inf
+			for u := 0; u < table.Units(class) && bestCount > 0; u++ {
+				if cnt := p.windowOwners(owner[u*ii:(u+1)*ii], row, occ, bestCount); cnt < bestCount {
 					bestUnit, bestCount = u, cnt
 				}
 			}
-			for _, w := range p.unitOps[class][bestUnit] {
-				if w != v && reservationTouchesUnit(res[w], bestUnit, row, occ, ii) {
-					p.victims = append(p.victims, w)
-				}
-			}
+			p.windowOwners(owner[bestUnit*ii:(bestUnit+1)*ii], row, occ, inf)
 		} else {
 			// Multi-unit reservation: evict every operation of the class
 			// (rare: a non-pipelined op at an II below its occupancy).
-			for u := range p.unitOps[class] {
-				for _, w := range p.unitOps[class][u] {
-					if w != v {
-						p.victims = append(p.victims, w)
-					}
+			p.victims = p.victims[:0]
+			for w := range placed {
+				if placed[w] && res[w].Class == class {
+					p.victims = append(p.victims, w)
 				}
 			}
+		}
+		if victimCheck != nil {
+			victimCheck(p, v, tf, bestUnit)
 		}
 		for _, w := range p.victims {
 			evict(w)
 		}
 		if !table.PlaceInto(&res[v], class, tf, occ) {
-			return nil, false // class too small for the reservation at this II
+			return false // class too small for the reservation at this II
 		}
 		time[v], placed[v] = tf, true
-		p.indexAdd(v)
+		p.own(&res[v], int32(v))
 		if tf > frontier {
 			frontier = tf
 		}
@@ -694,29 +762,11 @@ func (p *placer) tryPlace(buses, fpus, ii int) (*Schedule, bool) {
 		}
 	}
 
-	return &Schedule{Loop: l, II: ii, Time: time, Res: res, Model: model}, true
+	return true
 }
 
-// reservationTouchesUnit reports whether any span of r on the given unit
-// overlaps the occ rows starting at row (already reduced into [0, ii)): a
-// circular-interval intersection test per span instead of comparing rows
-// pairwise.
-func reservationTouchesUnit(r mrt.Reservation, unit, row, occ, ii int) bool {
-	for _, sp := range r.Spans {
-		if sp.Unit != unit {
-			continue
-		}
-		// Rows [a, a+sp.Occ) and [row, row+occ) intersect mod ii iff one
-		// start falls within the other interval. d is the distance from a
-		// forward to row; the distance back is ii-d, or 0 when d is 0 (and
-		// then the first test already holds, since sp.Occ >= 1).
-		d := row - mod(sp.Cycle, ii)
-		if d < 0 {
-			d += ii
-		}
-		if d < sp.Occ || ii-d < occ {
-			return true
-		}
-	}
-	return false
-}
+// victimCheck, when set, sees every forced placement after its
+// dependence evictions and before its resource evictions: the operation,
+// its forcing cycle, the chosen unit (-1 for a multi-unit reservation)
+// and the victims in p.victims. The differential tests install it.
+var victimCheck func(p *placer, v, tf, bestUnit int)

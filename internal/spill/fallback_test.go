@@ -55,19 +55,19 @@ func TestFallback3SpillsCarriedValues(t *testing.T) {
 func TestGrowIIFineSteps(t *testing.T) {
 	l := carriedLoop(4)
 	m := machine.New(machine.Config{Buses: 1, Width: 1}, 10, machine.FourCycle)
-	o := (&Options{}).withDefaults()
+	o := (&Options{Workspace: sched.NewWorkspace()}).withDefaults()
 	base, err := sched.ModuloSchedule(l, m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ls lifetimes.Set
-	r, ok := growII(l, m, &o, 10, base.II, base.II*o.MaxIIGrowth+16,
-		&ls, regalloc.NewSearch(&ls))
+	search := regalloc.NewSearch(&ls)
+	s, ok := growII(l, m, &o, 10, base.II, base.II*o.MaxIIGrowth+16, &ls, search)
 	if ok {
-		if r.regs > 10 {
-			t.Errorf("growII returned %d regs for a 10-register file", r.regs)
+		if regs := search.MinRegs(o.Strategy); regs > 10 {
+			t.Errorf("growII returned %d regs for a 10-register file", regs)
 		}
-		if err := r.sched.Validate(); err != nil {
+		if err := s.Validate(); err != nil {
 			t.Error(err)
 		}
 	}

@@ -42,8 +42,9 @@ type Options struct {
 	// Order overrides the scheduler's ordering heuristic (nil = HRMS).
 	Order sched.OrderFunc
 	// Workspace, when set, serves every reschedule's ordering and
-	// placement scratch from one reusable arena (see sched.Workspace).
-	// Not safe for concurrent use; the engine pools one per worker.
+	// placement scratch, and holds its probe schedule, in one reusable
+	// arena (see sched.Workspace); nil borrows one from the pool for the
+	// call. Not safe for concurrent use; the engine pools one per worker.
 	Workspace *sched.Workspace
 }
 
@@ -70,7 +71,7 @@ type Result struct {
 	Sched *sched.Schedule
 	// Loop is the final loop including spill code (nil when !OK).
 	Loop *ddg.Loop
-	// Regs is the register count of the final allocation.
+	// Regs is the register count of the final allocation (0 from Fit).
 	Regs int
 	// BaseII is the II of the unconstrained schedule (before spilling).
 	BaseII int
@@ -105,18 +106,22 @@ var scratchPool = sync.Pool{New: func() any {
 // Schedule software-pipelines the loop under the machine's register file
 // size. The loop must already be width-transformed for the machine.
 func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
+	return schedule(l, m, opts, true)
+}
+
+// Fit is Schedule without the final register search: every field but Regs
+// (left 0) is the same. Callers that only need the schedule, its II and
+// its spill counts skip the exact MinRegs scan.
+func Fit(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
+	return schedule(l, m, opts, false)
+}
+
+func schedule(l *ddg.Loop, m machine.Machine, opts *Options, minRegs bool) (Result, error) {
 	o := opts.withDefaults()
-	avail := m.RF.Regs
-	cur := l.Clone()
-
-	var res Result
-
-	s, err := sched.ModuloSchedule(cur, m, &sched.Options{Order: o.Order, Workspace: o.Workspace})
-	if err != nil {
-		return Result{}, fmt.Errorf("spill: base schedule: %w", err)
+	if o.Workspace == nil {
+		o.Workspace = sched.AcquireWorkspace()
+		defer sched.ReleaseWorkspace(o.Workspace)
 	}
-	res.BaseII = s.II
-
 	// One lifetime set and one allocator search are reused across every
 	// spill round and every candidate II of the growth fallbacks: the
 	// TryAllocate→MinRegs→growII sequence rebinds them instead of
@@ -125,7 +130,30 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 	// the return (results carry only schedules and counts).
 	scr := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(scr)
+	res, err := fit(l, m, &o, scr)
+	if err == nil && res.OK && minRegs {
+		// fit leaves the search bound to the returned schedule.
+		res.Regs = scr.search.MinRegs(o.Strategy)
+	}
+	return res, err
+}
+
+// fit runs the spill rounds and the growth fallbacks. Every schedule it
+// tries is a workspace probe; only the one it returns is cloned. On
+// success the scratch search is still bound to that schedule's lifetimes.
+func fit(l *ddg.Loop, m machine.Machine, o *Options, scr *scratch) (Result, error) {
+	avail := m.RF.Regs
+	cur := l.Clone()
+	ws := o.Workspace
 	ls, search := &scr.ls, scr.search
+
+	var res Result
+
+	s, err := ws.Probe(cur, m, &sched.Options{Order: o.Order})
+	if err != nil {
+		return Result{}, fmt.Errorf("spill: base schedule: %w", err)
+	}
+	res.BaseII = s.II
 
 	// Spill rounds interleaved with II escalation: spilling trims long
 	// lifetimes at the price of memory traffic; raising the II floor
@@ -147,9 +175,8 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 		// the exact minimum (the scan from MaxLive is short when it fits).
 		if search.Fits(avail, o.Strategy) {
 			res.OK = true
-			res.Sched = s
+			res.Sched = s.Clone()
 			res.Loop = cur
-			res.Regs = search.MinRegs(o.Strategy)
 			return res, nil
 		}
 		if round == o.MaxRounds {
@@ -183,7 +210,7 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 		} else if minII <= s.II {
 			minII = s.II + s.II/4 + 1
 		}
-		s, err = sched.ModuloSchedule(cur, m, &sched.Options{Order: o.Order, MinII: minII, Workspace: o.Workspace})
+		s, err = ws.Probe(cur, m, &sched.Options{Order: o.Order, MinII: minII})
 		if err != nil {
 			return Result{}, fmt.Errorf("spill: reschedule round %d: %w", round+1, err)
 		}
@@ -197,11 +224,10 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 	if alt := s.II * 2; alt > maxII {
 		maxII = alt
 	}
-	if r, ok := growII(cur, m, &o, avail, s.II+1, maxII, ls, search); ok {
+	if g, ok := growII(cur, m, o, avail, s.II+1, maxII, ls, search); ok {
 		res.OK = true
-		res.Sched = r.sched
+		res.Sched = g
 		res.Loop = cur
-		res.Regs = r.regs
 		return res, nil
 	}
 
@@ -210,11 +236,10 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 	// up at any II; the pristine loop's pressure always falls with the II
 	// (only recurrence values resist), so this path rescues loops the
 	// spilling dug into a hole.
-	if r, ok := growII(l, m, &o, avail, res.BaseII+1, capII, ls, search); ok {
+	if g, ok := growII(l, m, o, avail, res.BaseII+1, capII, ls, search); ok {
 		res.OK = true
-		res.Sched = r.sched
+		res.Sched = g
 		res.Loop = l.Clone()
-		res.Regs = r.regs
 		res.SpillStores, res.SpillLoads = 0, 0
 		return res, nil
 	}
@@ -246,11 +271,10 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 		}
 	}
 	if stores3 > 0 {
-		if r, ok := growII(cur3, m, &o, avail, res.BaseII+1, 2*capII, ls, search); ok {
+		if g, ok := growII(cur3, m, o, avail, res.BaseII+1, 2*capII, ls, search); ok {
 			res.OK = true
-			res.Sched = r.sched
+			res.Sched = g
 			res.Loop = cur3
-			res.Regs = r.regs
 			res.SpillStores, res.SpillLoads = stores3, loads3
 			return res, nil
 		}
@@ -260,29 +284,25 @@ func Schedule(l *ddg.Loop, m machine.Machine, opts *Options) (Result, error) {
 	return res, nil
 }
 
-type grown struct {
-	sched *sched.Schedule
-	regs  int
-}
-
 // growII searches for the smallest II in [startII, maxII] at which the
 // loop's allocation fits avail registers, recomputing lifetimes into the
-// shared set and rebinding the shared search at each candidate. Far from
+// shared set and rebinding the shared search at each candidate; it returns
+// a clone of the fitting probe, with the search left bound to it. Far from
 // the target it steps geometrically (pressure falls roughly as 1/II, so
 // fine steps waste reschedules); within two registers of fitting it steps
 // by one, because pressure is not locally monotone and a narrow fitting
 // window is easy to jump over.
 func growII(l *ddg.Loop, m machine.Machine, o *Options, avail, startII, maxII int,
-	ls *lifetimes.Set, search *regalloc.Search) (grown, bool) {
+	ls *lifetimes.Set, search *regalloc.Search) (*sched.Schedule, bool) {
 	for ii := startII; ii <= maxII; {
-		forced, err := sched.ModuloSchedule(l, m, &sched.Options{Order: o.Order, MinII: ii, Workspace: o.Workspace})
+		forced, err := o.Workspace.Probe(l, m, &sched.Options{Order: o.Order, MinII: ii})
 		if err != nil {
-			return grown{}, false
+			return nil, false
 		}
 		lifetimes.ComputeInto(ls, forced)
 		search.Reset(ls)
 		if search.Fits(avail, o.Strategy) {
-			return grown{sched: forced, regs: search.MinRegs(o.Strategy)}, true
+			return forced.Clone(), true
 		}
 		if forced.II > ii {
 			ii = forced.II // skip ahead if the scheduler already overshot
@@ -293,7 +313,7 @@ func growII(l *ddg.Loop, m machine.Machine, o *Options, avail, startII, maxII in
 			ii += 1 + ii/8
 		}
 	}
-	return grown{}, false
+	return nil, false
 }
 
 // candidate is a spillable value with its profitability score.
